@@ -78,10 +78,17 @@ type state struct {
 	loopDeadline time.Time
 
 	edges []edge // local affinity edges
-	bonus float64
-	pats  []pattern
-	seen  map[string]bool
-	stats solve.Stats
+	// adj lists, per local service, the indices of its incident edges
+	// in edges order, so marginal gains sum in the same order as a scan
+	// over all edges would.
+	adj [][]int
+	// antiOf lists, per local service, the subproblem anti rules it
+	// belongs to (with its multiplicity in the rule's member list).
+	antiOf [][]antiRef
+	bonus  float64
+	pats   []pattern
+	seen   map[string]bool
+	stats  solve.Stats
 
 	// masterWS and masterBasis warm-start each restricted-master LP from
 	// the previous round's optimal basis: the master's rows are fixed
@@ -98,19 +105,79 @@ type edge struct {
 	w    float64
 }
 
-// Solve runs Algorithm 1 on a subproblem. The context interrupts the
-// master/pricing loop between rounds (and the sub-solves within them at
-// pivot/node granularity); an interrupted solve still rounds whatever
-// columns exist, or falls back to the greedy first-fit schedule when the
-// budget expired before the loop started — the anytime contract.
-func Solve(ctx context.Context, sp *cluster.Subproblem, opts Options) (Result, error) {
-	start := time.Now()
-	if err := sp.Validate(); err != nil {
-		return Result{}, err
+type antiRef struct {
+	rule, mult int
+}
+
+// packer tracks one machine pattern being filled container by
+// container: its resource use and per-anti-rule counts, kept
+// incrementally so a feasibility check costs O(resources + rules of
+// the service) instead of re-summing the whole pattern.
+type packer struct {
+	st     *state
+	g      *model.MachineGroup
+	counts []int
+	used   []float64
+	anti   []int
+	// open is false when an anti cap admits not even the empty
+	// pattern; then nothing fits.
+	open bool
+}
+
+func (st *state) newPacker(g *model.MachineGroup) *packer {
+	pk := &packer{
+		st:     st,
+		g:      g,
+		counts: make([]int, len(st.sp.Services)),
+		used:   make([]float64, len(st.sp.P.ResourceNames)),
+		anti:   make([]int, len(st.sp.Anti)),
+		open:   true,
 	}
-	if opts.MaxIters <= 0 {
-		opts.MaxIters = 60
+	for _, c := range g.AntiCap {
+		if c < 0 {
+			pk.open = false
+		}
 	}
+	return pk
+}
+
+// fits reports whether one more container of local service si keeps
+// the pattern feasible for the group (capacity, anti-affinity caps).
+// The caller ensures si is hostable and below its replica count.
+func (pk *packer) fits(si int) bool {
+	if !pk.open {
+		return false
+	}
+	req := pk.st.sp.P.Services[pk.st.sp.Services[si]].Request
+	for r, u := range pk.used {
+		if u+req[r] > pk.g.Capacity[r]+1e-9 {
+			return false
+		}
+	}
+	for _, a := range pk.st.antiOf[si] {
+		if pk.anti[a.rule]+a.mult > pk.g.AntiCap[a.rule] {
+			return false
+		}
+	}
+	return true
+}
+
+// add places one container of local service si.
+func (pk *packer) add(si int) {
+	pk.counts[si]++
+	req := pk.st.sp.P.Services[pk.st.sp.Services[si]].Request
+	for r := range pk.used {
+		pk.used[r] += req[r]
+	}
+	for _, a := range pk.st.antiOf[si] {
+		pk.anti[a.rule] += a.mult
+	}
+}
+
+// newState prepares a solve of sp: machine groups (split per machine
+// under DisableGrouping), the master workspace and the anti-rule index.
+// The caller releases st.masterWS.
+func newState(ctx context.Context, sp *cluster.Subproblem, opts Options) *state {
 	groups := model.GroupMachines(sp)
 	if opts.DisableGrouping {
 		var split []model.MachineGroup
@@ -134,6 +201,24 @@ func Solve(ctx context.Context, sp *cluster.Subproblem, opts Options) (Result, e
 		seen:     make(map[string]bool),
 		masterWS: lp.AcquireWorkspace(),
 	}
+	st.buildAntiIndex()
+	return st
+}
+
+// Solve runs Algorithm 1 on a subproblem. The context interrupts the
+// master/pricing loop between rounds (and the sub-solves within them at
+// pivot/node granularity); an interrupted solve still rounds whatever
+// columns exist, or falls back to the greedy first-fit schedule when the
+// budget expired before the loop started — the anytime contract.
+func Solve(ctx context.Context, sp *cluster.Subproblem, opts Options) (Result, error) {
+	start := time.Now()
+	if err := sp.Validate(); err != nil {
+		return Result{}, err
+	}
+	if opts.MaxIters <= 0 {
+		opts.MaxIters = 60
+	}
+	st := newState(ctx, sp, opts)
 	defer st.masterWS.Release()
 
 	// An already-expired budget (or cancelled context) gets no master,
@@ -154,13 +239,6 @@ func Solve(ctx context.Context, sp *cluster.Subproblem, opts Options) (Result, e
 	}
 
 	st.buildEdges()
-	totalW := 0.0
-	for _, e := range st.edges {
-		totalW += e.w
-	}
-	if tc := sp.TotalContainers(); tc > 0 {
-		st.bonus = 1e-4 * (totalW + 1) / float64(tc)
-	}
 	st.seedPatterns()
 
 	// Reserve ~30% of the remaining budget for the rounding step.
@@ -267,6 +345,8 @@ func (st *state) greedyFallback() []model.Placement {
 	return out
 }
 
+// buildEdges collects the subproblem's local affinity edges (sorted),
+// their per-service adjacency, and the per-container placement bonus.
 func (st *state) buildEdges() {
 	local := make(map[int]int, len(st.sp.Services))
 	for si, s := range st.sp.Services {
@@ -289,6 +369,41 @@ func (st *state) buildEdges() {
 		}
 		return st.edges[a].j < st.edges[b].j
 	})
+	st.adj = make([][]int, len(st.sp.Services))
+	totalW := 0.0
+	for ei, e := range st.edges {
+		totalW += e.w
+		st.adj[e.i] = append(st.adj[e.i], ei)
+		if e.j != e.i {
+			st.adj[e.j] = append(st.adj[e.j], ei)
+		}
+	}
+	if tc := st.sp.TotalContainers(); tc > 0 {
+		st.bonus = 1e-4 * (totalW + 1) / float64(tc)
+	}
+}
+
+// buildAntiIndex fills antiOf from the subproblem's anti rules.
+func (st *state) buildAntiIndex() {
+	local := make(map[int]int, len(st.sp.Services))
+	for si, s := range st.sp.Services {
+		local[s] = si
+	}
+	st.antiOf = make([][]antiRef, len(st.sp.Services))
+	for k, rule := range st.sp.Anti {
+		for _, s := range rule.Services {
+			si, ok := local[s]
+			if !ok {
+				continue
+			}
+			refs := st.antiOf[si]
+			if n := len(refs); n > 0 && refs[n-1].rule == k {
+				refs[n-1].mult++
+				continue
+			}
+			st.antiOf[si] = append(refs, antiRef{rule: k, mult: 1})
+		}
+	}
 }
 
 func (st *state) patternValue(counts []int) float64 {
@@ -324,12 +439,19 @@ func (st *state) addPattern(counts []int, group int) bool {
 
 // seedPatterns provides the initial restricted master columns: the empty
 // pattern per group plus greedy affinity-packed patterns, so the master
-// is feasible and warm from the first iteration.
+// is feasible and warm from the first iteration. Seeding stops early
+// (keeping the columns it has) once 70% of the remaining budget is
+// spent, leaving the rest to the master loop and rounding.
 func (st *state) seedPatterns() {
 	nS := len(st.sp.Services)
 	for g := range st.groups {
 		st.addPattern(make([]int, nS), g)
 	}
+	var deadline time.Time
+	if !st.opts.Deadline.IsZero() {
+		deadline = time.Now().Add(time.Until(st.opts.Deadline) * 7 / 10)
+	}
+	poll := solve.NewPoll(st.ctx, deadline, 0)
 	// Greedy packing: walk machines in group-major order, filling each
 	// machine with the container that gains the most marginal value.
 	remaining := make([]int, nS)
@@ -339,25 +461,19 @@ func (st *state) seedPatterns() {
 	for gi := range st.groups {
 		g := &st.groups[gi]
 		for k := 0; k < g.Count(); k++ {
-			counts := make([]int, nS)
-			used := make(cluster.Resources, len(st.sp.P.ResourceNames))
+			if _, stop := poll.Interrupted(); stop {
+				return
+			}
+			pk := st.newPacker(g)
 			for {
 				best, bestGain := -1, 0.0
 				for si := 0; si < nS; si++ {
-					if remaining[si] == 0 || !g.CanHost[si] {
+					if remaining[si] == 0 || !g.CanHost[si] || !pk.fits(si) {
 						continue
 					}
-					req := st.sp.P.Services[st.sp.Services[si]].Request
-					if !used.Add(req).Fits(g.Capacity) {
-						continue
-					}
-					counts[si]++
-					if !model.PatternFeasible(st.sp, g, counts) {
-						counts[si]--
-						continue
-					}
-					gain := st.marginalGain(counts, si)
-					counts[si]--
+					pk.counts[si]++
+					gain := st.marginalGain(pk.counts, si)
+					pk.counts[si]--
 					if gain > bestGain {
 						best, bestGain = si, gain
 					}
@@ -365,11 +481,10 @@ func (st *state) seedPatterns() {
 				if best < 0 {
 					break
 				}
-				counts[best]++
+				pk.add(best)
 				remaining[best]--
-				used = used.Add(st.sp.P.Services[st.sp.Services[best]].Request)
 			}
-			st.addPattern(counts, gi)
+			st.addPattern(pk.counts, gi)
 		}
 	}
 }
@@ -382,15 +497,11 @@ func (st *state) marginalGain(counts []int, si int) float64 {
 	gain := st.bonus
 	ci := float64(counts[si])
 	di := float64(p.Services[st.sp.Services[si]].Replicas)
-	for _, e := range st.edges {
-		var sj int
-		switch {
-		case e.i == si:
-			sj = e.j
-		case e.j == si:
+	for _, ei := range st.adj[si] {
+		e := st.edges[ei]
+		sj := e.j
+		if e.i != si {
 			sj = e.i
-		default:
-			continue
 		}
 		if counts[sj] == 0 {
 			continue
@@ -516,7 +627,10 @@ func (st *state) priceGroupMIP(gi int, lambda []float64) ([]int, float64) {
 			nv++
 		}
 	}
-	prob := mip.Problem{LP: lp.Problem{NumVars: nv}, Integer: make([]bool, nv)}
+	prob := mip.Problem{LP: lp.Problem{NumVars: nv, Upper: make([]float64, nv)}, Integer: make([]bool, nv)}
+	for v := range prob.LP.Upper {
+		prob.LP.Upper[v] = math.Inf(1)
+	}
 	for si := 0; si < nS; si++ {
 		if v := pIdx[si]; v >= 0 {
 			prob.Integer[v] = true
@@ -524,8 +638,8 @@ func (st *state) priceGroupMIP(gi int, lambda []float64) ([]int, float64) {
 			if coef != 0 {
 				prob.LP.Objective = append(prob.LP.Objective, lp.Coef{Var: v, Val: coef})
 			}
-			// p_s <= d_s
-			prob.LP.AddRow([]lp.Coef{{Var: v, Val: 1}}, lp.LE, float64(p.Services[st.sp.Services[si]].Replicas))
+			// p_s <= d_s, as a bound: branching tightens it in place.
+			prob.LP.Upper[v] = float64(p.Services[st.sp.Services[si]].Replicas)
 		}
 	}
 	for _, ev := range evs {
@@ -586,32 +700,22 @@ func (st *state) priceGroupMIP(gi int, lambda []float64) ([]int, float64) {
 }
 
 // priceGroupGreedy is the fallback pricer: greedily add the container
-// with the best marginal (value - lambda) gain.
+// with the best marginal (value - lambda) gain, stopping early (with
+// the pattern built so far) once the loop deadline passes.
 func (st *state) priceGroupGreedy(gi int, lambda []float64) ([]int, float64) {
 	g := &st.groups[gi]
 	nS := len(st.sp.Services)
-	counts := make([]int, nS)
-	used := make(cluster.Resources, len(st.sp.P.ResourceNames))
-	for {
+	pk := st.newPacker(g)
+	counts := pk.counts
+	for !st.expired() {
 		best, bestGain := -1, rcEps
 		for si := 0; si < nS; si++ {
-			if !g.CanHost[si] {
-				continue
-			}
-			if counts[si] >= st.sp.P.Services[st.sp.Services[si]].Replicas {
-				continue
-			}
-			req := st.sp.P.Services[st.sp.Services[si]].Request
-			if !used.Add(req).Fits(g.Capacity) {
+			if !g.CanHost[si] || counts[si] >= st.sp.P.Services[st.sp.Services[si]].Replicas || !pk.fits(si) {
 				continue
 			}
 			counts[si]++
-			ok := model.PatternFeasible(st.sp, g, counts)
 			gain := st.marginalGain(counts, si) - lambda[si]
 			counts[si]--
-			if !ok {
-				continue
-			}
 			if gain > bestGain {
 				best, bestGain = si, gain
 			}
@@ -619,8 +723,7 @@ func (st *state) priceGroupGreedy(gi int, lambda []float64) ([]int, float64) {
 		if best < 0 {
 			break
 		}
-		counts[best]++
-		used = used.Add(st.sp.P.Services[st.sp.Services[best]].Request)
+		pk.add(best)
 	}
 	rc := st.patternValue(counts)
 	for si := 0; si < nS; si++ {
@@ -700,12 +803,8 @@ func (st *state) spillFill(placed [][]int, remaining []int) {
 			}
 			req := p.Services[st.sp.Services[si]].Request
 			used[mi] = used[mi].Add(req.Scale(float64(c)))
-			for k, rule := range st.sp.Anti {
-				for _, s := range rule.Services {
-					if s == st.sp.Services[si] {
-						antiUsed[k][mi] += c
-					}
-				}
+			for _, a := range st.antiOf[si] {
+				antiUsed[a.rule][mi] += c * a.mult
 			}
 		}
 	}
@@ -721,15 +820,8 @@ func (st *state) spillFill(placed [][]int, remaining []int) {
 					break
 				}
 				blocked := false
-				for k, rule := range st.sp.Anti {
-					member := false
-					for _, rs := range rule.Services {
-						if rs == s {
-							member = true
-							break
-						}
-					}
-					if member && antiUsed[k][mi]+1 > rule.Cap[mi] {
+				for _, a := range st.antiOf[si] {
+					if antiUsed[a.rule][mi]+1 > st.sp.Anti[a.rule].Cap[mi] {
 						blocked = true
 						break
 					}
@@ -740,12 +832,8 @@ func (st *state) spillFill(placed [][]int, remaining []int) {
 				used[mi] = used[mi].Add(req)
 				placed[mi][si]++
 				remaining[si]--
-				for k, rule := range st.sp.Anti {
-					for _, rs := range rule.Services {
-						if rs == s {
-							antiUsed[k][mi]++
-						}
-					}
+				for _, a := range st.antiOf[si] {
+					antiUsed[a.rule][mi] += a.mult
 				}
 			}
 		}

@@ -292,6 +292,25 @@ func (r *Result) ImprovementRatio() float64 {
 // to emit their greedy fallback schedules.
 const minSolveBudget = 25 * time.Millisecond
 
+// passStop is the stop cause of a pass: the caller's cancellation or
+// deadline when the context ended, else the worst cause among the
+// subproblem results (one subproblem cut by its deadline makes the
+// whole pass a deadline stop), and at least Deadline when every
+// subproblem ran out of time.
+func passStop(ctx context.Context, results []pool.Result, outOfTime bool) solve.StopCause {
+	if err := ctx.Err(); err != nil {
+		return solve.Cause(err)
+	}
+	stop := solve.Optimal
+	for _, r := range results {
+		stop = solve.Worst(stop, r.Stats.Stop)
+	}
+	if outOfTime {
+		stop = solve.Worst(stop, solve.Deadline)
+	}
+	return stop
+}
+
 // Optimize runs the full RASA algorithm on the cluster: compute a new
 // mapping that maximizes overall gained affinity under the given budget
 // and the migration plan that realizes it.
@@ -399,14 +418,7 @@ func Optimize(ctx context.Context, p *cluster.Problem, current *cluster.Assignme
 	for _, r := range results {
 		res.Stats.Merge(r.Stats)
 	}
-	switch {
-	case ctx.Err() != nil:
-		res.Stats.Stop = solve.Cause(ctx.Err())
-	case res.OutOfTime:
-		res.Stats.Stop = solve.Deadline
-	default:
-		res.Stats.Stop = solve.Optimal
-	}
+	res.Stats.Stop = passStop(ctx, results, res.OutOfTime)
 	if !opts.SkipMigration && ctx.Err() == nil {
 		plan, err := migrate.Compute(ctx, p, current, newAssign, migrate.Options{MinAlive: opts.MinAlive})
 		switch {

@@ -249,10 +249,16 @@ func (g *floorGuardFabric) Apply(ctx context.Context, cmd migrate.Command) error
 	err := g.inner.Apply(ctx, cmd)
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.syncDeaths()
 	if err != nil {
+		g.syncDeaths(-1)
 		return err
 	}
+	// A successful command ran before any death of its own machine
+	// that the inner fabric reports now (a death may fire right after
+	// the command that reached its trigger count), so that machine's
+	// death is folded in after the command's effect.
+	g.syncDeaths(cmd.Machine)
+	defer g.syncDeaths(-1)
 	switch cmd.Op {
 	case migrate.Delete:
 		g.cur.Add(cmd.Service, cmd.Machine, -1)
@@ -278,11 +284,11 @@ func (g *floorGuardFabric) DeadMachines() []int {
 	return g.inner.DeadMachines()
 }
 
-// syncDeaths folds newly-dead machines into the guard's view; called
-// with g.mu held.
-func (g *floorGuardFabric) syncDeaths() {
+// syncDeaths folds newly-dead machines other than skip into the
+// guard's view; called with g.mu held.
+func (g *floorGuardFabric) syncDeaths(skip int) {
 	for _, m := range g.inner.DeadMachines() {
-		if g.seenDead[m] {
+		if g.seenDead[m] || m == skip {
 			continue
 		}
 		g.seenDead[m] = true

@@ -2,6 +2,7 @@ package lp
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -46,11 +47,13 @@ func randomMixedLP(rng *rand.Rand) *Problem {
 }
 
 // checkCertificates validates an Optimal solution as a primal/dual
-// optimality certificate for the original problem: primal feasibility,
-// dual sign conditions per row sense, dual feasibility of every
-// column, and strong duality. Duals are non-unique under degeneracy,
-// so the two kernels are compared through certificates, not
-// coordinates.
+// optimality certificate for the original problem: primal feasibility
+// (rows and variable bounds), dual sign conditions per row sense, dual
+// feasibility of every column against its bounds, and strong duality.
+// Bounds carry no reported duals: a column's reduced cost is the dual
+// of whichever bound it sits on. Duals are non-unique under
+// degeneracy, so the two kernels are compared through certificates,
+// not coordinates.
 func checkCertificates(t *testing.T, tag string, p *Problem, sol Solution) {
 	t.Helper()
 	const tol = 1e-6
@@ -58,8 +61,9 @@ func checkCertificates(t *testing.T, tag string, p *Problem, sol Solution) {
 		t.Fatalf("%s: malformed solution: |X|=%d |Duals|=%d", tag, len(sol.X), len(sol.Duals))
 	}
 	for j, v := range sol.X {
-		if v < -tol {
-			t.Fatalf("%s: x[%d] = %g < 0", tag, j, v)
+		lo, up := p.bounds(j)
+		if v < lo-tol || v > up+tol {
+			t.Fatalf("%s: x[%d] = %g outside [%g, %g]", tag, j, v, lo, up)
 		}
 	}
 	obj := 0.0
@@ -97,8 +101,9 @@ func checkCertificates(t *testing.T, tag string, p *Problem, sol Solution) {
 		}
 		dualObj += sol.Duals[i] * r.RHS
 	}
-	// Dual feasibility: every column prices out non-positive (max
-	// problem over x >= 0).
+	// Dual feasibility: a column that prices out positive must sit at
+	// its upper bound, one that prices out negative at its lower bound
+	// (max problem); the bound terms join the dual objective.
 	reduced := make([]float64, p.NumVars)
 	for _, c := range p.Objective {
 		reduced[c.Var] += c.Val
@@ -109,8 +114,18 @@ func checkCertificates(t *testing.T, tag string, p *Problem, sol Solution) {
 		}
 	}
 	for j, d := range reduced {
-		if d > tol {
-			t.Fatalf("%s: column %d prices out positive: reduced cost %g", tag, j, d)
+		lo, up := p.bounds(j)
+		switch {
+		case d > tol:
+			if sol.X[j] < up-tol {
+				t.Fatalf("%s: column %d prices out positive below its upper bound: reduced cost %g", tag, j, d)
+			}
+			dualObj += d * up
+		case d < -tol:
+			if sol.X[j] > lo+tol {
+				t.Fatalf("%s: column %d prices out negative above its lower bound: reduced cost %g", tag, j, d)
+			}
+			dualObj += d * lo
 		}
 	}
 	if math.Abs(dualObj-obj) > 1e-5*(1+math.Abs(obj)) {
@@ -127,26 +142,65 @@ func solveWith(t *testing.T, p *Problem, k Kernel) Solution {
 	return sol
 }
 
+// withRandomBounds returns a copy of p with random integer variable
+// bounds: raised lower bounds, finite upper bounds (0 included, the
+// branch-and-bound down-branch shape), fixed variables, and now and
+// then a crossed pair that makes the problem infeasible.
+func withRandomBounds(rng *rand.Rand, p *Problem) *Problem {
+	q := *p
+	q.Lower = make([]float64, p.NumVars)
+	q.Upper = make([]float64, p.NumVars)
+	for j := range q.Upper {
+		q.Upper[j] = math.Inf(1)
+		switch rng.Intn(7) {
+		case 0:
+			q.Lower[j] = float64(1 + rng.Intn(2))
+		case 1:
+			q.Upper[j] = float64(rng.Intn(4))
+		case 2:
+			q.Lower[j] = float64(rng.Intn(3))
+			q.Upper[j] = q.Lower[j] + float64(rng.Intn(3))
+		case 3:
+			if rng.Intn(4) == 0 {
+				q.Lower[j], q.Upper[j] = 2, 1
+			}
+		}
+	}
+	return &q
+}
+
+// kernelsAgree solves p on both kernels and requires the same status,
+// the same optimal objective to 1e-6, and a valid optimality
+// certificate from each.
+func kernelsAgree(t *testing.T, tag string, p *Problem) {
+	t.Helper()
+	ds := solveWith(t, p, KernelDense)
+	ss := solveWith(t, p, KernelSparse)
+	if ds.Status != ss.Status {
+		t.Fatalf("%s: status mismatch dense=%v sparse=%v (problem %+v)", tag, ds.Status, ss.Status, p)
+	}
+	if ds.Status != Optimal {
+		return
+	}
+	if math.Abs(ds.Objective-ss.Objective) > 1e-6*(1+math.Abs(ds.Objective)) {
+		t.Fatalf("%s: objective mismatch dense=%.12g sparse=%.12g (problem %+v)", tag, ds.Objective, ss.Objective, p)
+	}
+	checkCertificates(t, tag+"/dense", p, ds)
+	checkCertificates(t, tag+"/sparse", p, ss)
+}
+
 // TestKernelsAgreeRandom is the differential property test: both
 // kernels must agree on status and (for Optimal) on the objective to
-// 1e-6, and each kernel's duals must certify optimality.
+// 1e-6, and each kernel's duals must certify optimality — on each
+// random LP as generated and on a copy with random variable bounds,
+// which the sparse kernel takes natively and the dense kernel as rows.
 func TestKernelsAgreeRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	brng := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 800; trial++ {
 		p := randomMixedLP(rng)
-		ds := solveWith(t, p, KernelDense)
-		ss := solveWith(t, p, KernelSparse)
-		if ds.Status != ss.Status {
-			t.Fatalf("trial %d: status mismatch dense=%v sparse=%v (problem %+v)", trial, ds.Status, ss.Status, p)
-		}
-		if ds.Status != Optimal {
-			continue
-		}
-		if math.Abs(ds.Objective-ss.Objective) > 1e-6*(1+math.Abs(ds.Objective)) {
-			t.Fatalf("trial %d: objective mismatch dense=%.12g sparse=%.12g (problem %+v)", trial, ds.Objective, ss.Objective, p)
-		}
-		checkCertificates(t, "dense", p, ds)
-		checkCertificates(t, "sparse", p, ss)
+		kernelsAgree(t, fmt.Sprintf("trial %d", trial), p)
+		kernelsAgree(t, fmt.Sprintf("trial %d bounded", trial), withRandomBounds(brng, p))
 	}
 }
 
@@ -155,6 +209,7 @@ func TestKernelsAgreeRandom(t *testing.T) {
 // presolve chains) actually engages.
 func TestKernelsAgreeLarger(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
+	brng := rand.New(rand.NewSource(12))
 	for trial := 0; trial < 60; trial++ {
 		n := 20 + rng.Intn(30)
 		m := 20 + rng.Intn(30)
@@ -164,7 +219,7 @@ func TestKernelsAgreeLarger(t *testing.T) {
 		}
 		for j := 0; j < n; j++ {
 			// Assignment-style bound rows: presolve fodder.
-			p.AddRow([]Coef{{Var: j, Val: 1}}, LE, float64(1 + rng.Intn(3)))
+			p.AddRow([]Coef{{Var: j, Val: 1}}, LE, float64(1+rng.Intn(3)))
 		}
 		for i := 0; i < m; i++ {
 			var coefs []Coef
@@ -173,21 +228,10 @@ func TestKernelsAgreeLarger(t *testing.T) {
 					coefs = append(coefs, Coef{Var: j, Val: float64(rng.Intn(5) + 1)})
 				}
 			}
-			p.AddRow(coefs, LE, float64(5 + rng.Intn(40)))
+			p.AddRow(coefs, LE, float64(5+rng.Intn(40)))
 		}
-		ds := solveWith(t, p, KernelDense)
-		ss := solveWith(t, p, KernelSparse)
-		if ds.Status != ss.Status {
-			t.Fatalf("trial %d: status mismatch dense=%v sparse=%v", trial, ds.Status, ss.Status)
-		}
-		if ds.Status != Optimal {
-			continue
-		}
-		if math.Abs(ds.Objective-ss.Objective) > 1e-6*(1+math.Abs(ds.Objective)) {
-			t.Fatalf("trial %d: objective mismatch dense=%.12g sparse=%.12g", trial, ds.Objective, ss.Objective)
-		}
-		checkCertificates(t, "dense", p, ds)
-		checkCertificates(t, "sparse", p, ss)
+		kernelsAgree(t, fmt.Sprintf("trial %d", trial), p)
+		kernelsAgree(t, fmt.Sprintf("trial %d bounded", trial), withRandomBounds(brng, p))
 	}
 }
 

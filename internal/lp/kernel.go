@@ -63,11 +63,11 @@ type layoutInfo struct {
 	slack []int // per row: the slack/surplus/artificial column used for dual reads
 }
 
-// prefixLayout computes the layout of rows[:len(rows)] with nStruc
-// structural columns. It must mirror the column assignment in
-// Workspace.build exactly; TestPrefixLayoutMatchesBuild pins the two
-// together.
-func prefixLayout(rows []Constraint, nStruc int) layoutInfo {
+// prefixLayout computes into li the layout of rows with nStruc
+// structural columns, reusing li's slices so warm starts do not
+// allocate. It must mirror the column assignment in Workspace.build
+// exactly; TestPrefixLayoutMatchesBuild pins the two together.
+func prefixLayout(li *layoutInfo, rows []Constraint, nStruc int) {
 	n := nStruc
 	for _, r := range rows {
 		if normSense(r) == GE {
@@ -76,11 +76,9 @@ func prefixLayout(rows []Constraint, nStruc int) layoutInfo {
 			n++
 		}
 	}
-	li := layoutInfo{
-		n:     n,
-		owner: make([]int, n),
-		slack: make([]int, len(rows)),
-	}
+	li.n, li.nArt = n, 0
+	li.owner = growI(li.owner, n)
+	li.slack = growI(li.slack, len(rows))
 	for j := 0; j < nStruc; j++ {
 		li.owner[j] = -1
 	}
@@ -105,5 +103,4 @@ func prefixLayout(rows []Constraint, nStruc int) layoutInfo {
 			col++
 		}
 	}
-	return li
 }

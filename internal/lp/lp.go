@@ -3,7 +3,7 @@
 //
 //	maximize    c'x
 //	subject to  a_i'x {<=,=,>=} b_i   for each row i
-//	            x >= 0
+//	            lo <= x <= up         (default lo = 0, up = +inf)
 //
 // It is the substrate beneath the MIP branch-and-bound solver
 // (internal/mip) and the column-generation master problem (internal/cg),
@@ -25,13 +25,21 @@
 //     ~32k cells; any numerical breakdown falls back to the dense
 //     kernel, so results are identical up to tolerances.
 //
+// Variable bounds (Problem.Lower/Upper) are native to the sparse
+// kernel; the dense kernel writes finite bounds as rows at build time.
+//
 // The engines live in a Workspace (see workspace.go) whose storage is
 // flat, pooled, and reused across solves, and which supports warm
 // starts from a captured Basis — the mechanism branch-and-bound
-// children and CG master re-solves use to re-optimize in a few pivots
-// instead of a full two-phase solve. Bases are captured in the dense
-// column layout regardless of kernel, so either engine can warm-start
-// from the other's capture.
+// children (a tightened bound) and CG master re-solves (appended
+// columns) use to re-optimize in a few pivots instead of a full
+// two-phase solve. Bases are captured in the dense column layout of
+// the problem rows regardless of kernel, with the nonbasic variables
+// at their upper bound listed, so either engine can warm-start from
+// the other's capture. Bounded problems warm-start on the sparse
+// kernel only: the dense kernel solves them cold, and its captures of
+// them are unusable. Workspace.KeepForm lets a sequence of solves
+// that change only bounds reuse one sparse matrix form.
 package lp
 
 import (
@@ -79,13 +87,34 @@ type Constraint struct {
 	RHS   float64
 }
 
-// Problem is an LP instance. Variables are indexed 0..NumVars-1 and are
-// implicitly non-negative. The objective is always maximized; negate
-// coefficients to minimize.
+// Problem is an LP instance. Variables are indexed 0..NumVars-1. The
+// objective is always maximized; negate coefficients to minimize.
+//
+// Lower and Upper are optional per-variable bounds (len NumVars when
+// set). A nil Lower means every lower bound is 0, a nil Upper means
+// every upper bound is +inf. Lower bounds must be finite and
+// non-negative; upper bounds may be +inf. The sparse kernel takes
+// bounds natively; the dense kernel writes each finite bound as a row
+// at build time. Bounds carry no duals: Solution.Duals covers Rows
+// only.
 type Problem struct {
 	NumVars   int
 	Objective []Coef
 	Rows      []Constraint
+	Lower     []float64
+	Upper     []float64
+}
+
+// bounds returns variable j's bound interval.
+func (p *Problem) bounds(j int) (lo, up float64) {
+	lo, up = 0, math.Inf(1)
+	if p.Lower != nil {
+		lo = p.Lower[j]
+	}
+	if p.Upper != nil {
+		up = p.Upper[j]
+	}
+	return lo, up
 }
 
 // AddRow appends a constraint built from dense or sparse coefficients.
@@ -182,8 +211,8 @@ func validate(p *Problem) error {
 		}
 		return nil
 	}
-	if p.NumVars < 0 {
-		return fmt.Errorf("%w: negative variable count", ErrBadProblem)
+	if err := validateBounds(p); err != nil {
+		return err
 	}
 	if err := check(p.Objective, -1); err != nil {
 		return err
@@ -194,6 +223,27 @@ func validate(p *Problem) error {
 		}
 		if math.IsNaN(r.RHS) || math.IsInf(r.RHS, 0) {
 			return fmt.Errorf("%w: row %d has non-finite RHS", ErrBadProblem, i)
+		}
+	}
+	return nil
+}
+
+// validateBounds checks the variable count and the bound vectors.
+func validateBounds(p *Problem) error {
+	if p.NumVars < 0 {
+		return fmt.Errorf("%w: negative variable count", ErrBadProblem)
+	}
+	if (p.Lower != nil && len(p.Lower) != p.NumVars) || (p.Upper != nil && len(p.Upper) != p.NumVars) {
+		return fmt.Errorf("%w: bound vectors must have one entry per variable", ErrBadProblem)
+	}
+	for _, v := range p.Lower {
+		if v < 0 || math.IsInf(v, 0) || math.IsNaN(v) {
+			return fmt.Errorf("%w: lower bounds must be finite and non-negative", ErrBadProblem)
+		}
+	}
+	for _, v := range p.Upper {
+		if v < 0 || math.IsNaN(v) {
+			return fmt.Errorf("%w: upper bounds must be non-negative", ErrBadProblem)
 		}
 	}
 	return nil

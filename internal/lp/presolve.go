@@ -46,66 +46,107 @@ type presolver struct {
 	origRow []int
 	redVar  []int // original var -> reduced index (-1 when fixed)
 	redRow  []int
+
+	// Flat backing storage of rowCoefs and colRows, reused across
+	// solves: rowEnd[i] ends row i in rowBuf, colEnd[j] starts column j
+	// in colBuf (colEnd[n] ends the last).
+	rowBuf, colBuf []Coef
+	rowEnd, colEnd []int
 }
 
-func newPresolver(p *Problem) *presolver {
+// reset loads p into the presolver, reusing its storage from earlier
+// solves (the workspace keeps one presolver, so cold solves do not
+// allocate per row and column). k lends the workspace's epoch-stamped
+// accumulator.
+func (ps *presolver) reset(p *Problem, k *spState) {
 	m, n := len(p.Rows), p.NumVars
-	ps := &presolver{
-		p:        p,
-		rowCoefs: make([][]Coef, m),
-		colRows:  make([][]Coef, n),
-		obj:      make([]float64, n),
-		fixed:    make([]bool, n),
-		fixVal:   make([]float64, n),
-		lo:       make([]float64, n),
-		up:       make([]float64, n),
-		loRow:    make([]int, n),
-		upRow:    make([]int, n),
-		eqRow:    make([]int, n),
-		dropped:  make([]bool, m),
-		rhs:      make([]float64, m),
-		boundVar: make([]int, m),
-		dropSeq:  make([]int, 0, m),
-	}
+	ps.p = p
+	ps.obj = growF(ps.obj, n)
+	ps.fixed = growB(ps.fixed, n)
+	ps.fixVal = growF(ps.fixVal, n)
+	ps.lo = growF(ps.lo, n)
+	ps.up = growF(ps.up, n)
+	ps.loRow = growI(ps.loRow, n)
+	ps.upRow = growI(ps.upRow, n)
+	ps.eqRow = growI(ps.eqRow, n)
+	ps.dropped = growB(ps.dropped, m)
+	ps.rhs = growF(ps.rhs, m)
+	ps.boundVar = growI(ps.boundVar, m)
+	ps.dropSeq = ps.dropSeq[:0]
 	for i := 0; i < m; i++ {
 		ps.boundVar[i] = -1
 	}
 	for j := 0; j < n; j++ {
-		ps.up[j] = math.Inf(1)
+		ps.lo[j], ps.up[j] = p.bounds(j)
 		ps.loRow[j], ps.upRow[j], ps.eqRow[j] = -1, -1, -1
 	}
 	for _, c := range p.Objective {
 		ps.obj[c.Var] += c.Val
 	}
 	// Merge duplicate coefficients with an epoch-stamped accumulator so
-	// the cost is O(nnz), not O(m·n).
-	acc := make([]float64, n)
-	stamp := make([]int, n)
-	epoch := 0
+	// the cost is O(nnz), not O(m·n). Merged rows go into one flat
+	// buffer (rowEnd marks each row's end), columns into another.
+	k.acc = growF(k.acc, n)
+	k.stamp = growI(k.stamp, n)
+	rows := ps.rowBuf[:0]
+	ps.rowEnd = growI(ps.rowEnd, m)
+	colCount := growI(ps.colEnd, n+1)
 	for i, r := range p.Rows {
-		epoch++
-		merged := make([]Coef, 0, len(r.Coefs))
+		k.epoch++
+		start := len(rows)
 		for _, c := range r.Coefs {
-			if stamp[c.Var] != epoch {
-				stamp[c.Var] = epoch
-				acc[c.Var] = 0
-				merged = append(merged, Coef{Var: c.Var})
+			if k.stamp[c.Var] != k.epoch {
+				k.stamp[c.Var] = k.epoch
+				k.acc[c.Var] = 0
+				rows = append(rows, Coef{Var: c.Var})
 			}
-			acc[c.Var] += c.Val
+			k.acc[c.Var] += c.Val
 		}
-		out := merged[:0]
-		for _, c := range merged {
-			if v := acc[c.Var]; v != 0 {
+		out := rows[:start]
+		for _, c := range rows[start:] {
+			if v := k.acc[c.Var]; v != 0 {
 				out = append(out, Coef{Var: c.Var, Val: v})
+				colCount[c.Var+1]++
 			}
 		}
-		ps.rowCoefs[i] = out
+		rows = out
+		ps.rowEnd[i] = len(rows)
 		ps.rhs[i] = r.RHS
-		for _, c := range out {
-			ps.colRows[c.Var] = append(ps.colRows[c.Var], Coef{Var: i, Val: c.Val})
-		}
 	}
-	return ps
+	ps.rowBuf = rows
+	// Columns: prefix-sum the counts into start offsets, then fill.
+	for j := 0; j < n; j++ {
+		colCount[j+1] += colCount[j]
+	}
+	ps.colEnd = colCount
+	if cap(ps.colBuf) < len(rows) {
+		ps.colBuf = make([]Coef, len(rows))
+	}
+	cols := ps.colBuf[:len(rows)]
+	cursor := growI(k.iwork, n)
+	k.iwork = cursor
+	copy(cursor, colCount[:n])
+	if cap(ps.rowCoefs) < m {
+		ps.rowCoefs = make([][]Coef, m)
+	}
+	ps.rowCoefs = ps.rowCoefs[:m]
+	start := 0
+	for i := 0; i < m; i++ {
+		end := ps.rowEnd[i]
+		ps.rowCoefs[i] = rows[start:end:end]
+		for _, c := range ps.rowCoefs[i] {
+			cols[cursor[c.Var]] = Coef{Var: i, Val: c.Val}
+			cursor[c.Var]++
+		}
+		start = end
+	}
+	if cap(ps.colRows) < n {
+		ps.colRows = make([][]Coef, n)
+	}
+	ps.colRows = ps.colRows[:n]
+	for j := 0; j < n; j++ {
+		ps.colRows[j] = cols[colCount[j]:colCount[j+1]:colCount[j+1]]
+	}
 }
 
 // fix substitutes variable j at value v into every live row.
@@ -139,6 +180,16 @@ func clamp(v, lo, up float64) float64 {
 // run iterates the reduction passes to a near-fixpoint and reports
 // psOK / psInfeasible / psUnbounded.
 func (ps *presolver) run() int {
+	// The problem's own bounds: crossed ones are infeasible, collapsed
+	// ones fix the variable.
+	for j := range ps.fixed {
+		switch {
+		case ps.lo[j] > ps.up[j]+feasEps:
+			return psInfeasible
+		case ps.up[j]-ps.lo[j] <= 1e-12:
+			ps.fix(j, ps.lo[j])
+		}
+	}
 	for pass := 0; pass < 16; pass++ {
 		changed := false
 		if st := ps.rowPass(&changed); st != psOK {

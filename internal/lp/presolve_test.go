@@ -153,7 +153,6 @@ func TestPresolveUnboundedColumn(t *testing.T) {
 	}
 }
 
-
 // FuzzKernelsAgree is the differential harness as a fuzz target: any
 // seed that makes the kernels disagree on status, objective, or
 // certificate validity is a crasher. `go test` runs the seed corpus;
@@ -165,18 +164,14 @@ func FuzzKernelsAgree(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
 		p := randomMixedLP(rng)
-		ds := solveWith(t, p, KernelDense)
-		ss := solveWith(t, p, KernelSparse)
-		if ds.Status != ss.Status {
-			t.Fatalf("status mismatch: dense=%v sparse=%v (problem %+v)", ds.Status, ss.Status, p)
-		}
-		if ds.Status != Optimal {
-			return
-		}
-		if math.Abs(ds.Objective-ss.Objective) > 1e-6*(1+math.Abs(ds.Objective)) {
-			t.Fatalf("objective mismatch: dense=%.12g sparse=%.12g (problem %+v)", ds.Objective, ss.Objective, p)
-		}
-		checkCertificates(t, "dense", p, ds)
-		checkCertificates(t, "sparse", p, ss)
+		kernelsAgree(t, "as generated", p)
+		kernelsAgree(t, "bounded", withRandomBounds(rng, p))
 	})
+}
+
+// newPresolver loads p into a fresh presolver.
+func newPresolver(p *Problem) *presolver {
+	ps := new(presolver)
+	ps.reset(p, new(spState))
+	return ps
 }

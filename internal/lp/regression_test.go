@@ -175,7 +175,8 @@ func TestPrefixLayoutMatchesBuild(t *testing.T) {
 		w := AcquireWorkspace()
 		w.trackPhase1 = false
 		w.build(p)
-		li := prefixLayout(p.Rows, p.NumVars)
+		var li layoutInfo
+		prefixLayout(&li, p.Rows, p.NumVars)
 		if li.n != w.n {
 			t.Fatalf("trial %d: prefixLayout n=%d, build n=%d", trial, li.n, w.n)
 		}
@@ -197,5 +198,17 @@ func TestPrefixLayoutMatchesBuild(t *testing.T) {
 			}
 		}
 		w.Release()
+	}
+}
+
+// TestPrefixLayoutReusesScratch: computing a layout into a layoutInfo
+// that already has room allocates nothing, so the column-append warm
+// start of the CG master pays no per-solve layout allocations.
+func TestPrefixLayoutReusesScratch(t *testing.T) {
+	p := randomMixedLP(rand.New(rand.NewSource(3)))
+	var li layoutInfo
+	prefixLayout(&li, p.Rows, p.NumVars)
+	if allocs := testing.AllocsPerRun(100, func() { prefixLayout(&li, p.Rows, p.NumVars) }); allocs != 0 {
+		t.Fatalf("prefixLayout allocated %.0f times per call on reused scratch", allocs)
 	}
 }

@@ -3,7 +3,7 @@ package lp
 import (
 	"context"
 	"math"
-	"sort"
+	"slices"
 
 	"github.com/cloudsched/rasa/internal/solve"
 )
@@ -27,13 +27,10 @@ import (
 // infeasible basic variables and prices a ±1 composite cost that
 // drives them back inside (bound shifting), so duals come out directly
 // in the original row orientation, matching the dense kernel's
-// convention. Bounds absorbed from singleton rows by presolve
-// (assignment-style x <= u) never appear as rows here — the ratio test
-// honours them as simple bound limits, including bound-flip steps that
-// involve no basis change at all.
-
-// inf is the bound value for "unbounded on this side".
-var inf = math.Inf(1)
+// convention. Variable bounds — the problem's own and those presolve
+// absorbs from singleton rows (assignment-style x <= u) — never appear
+// as rows here: the ratio test honours them as simple bound limits,
+// including bound-flip steps that involve no basis change at all.
 
 // Variable statuses.
 const (
@@ -102,7 +99,12 @@ func (f *spForm) scatterCol(j int, v []float64) {
 // the dense tableau.
 type spState struct {
 	f   spForm
-	pre *presolver // set on cold solves; nil on warm (presolve skipped)
+	pre *presolver // &ps on cold solves; nil on warm (presolve skipped)
+	ps  presolver
+	// keptValid reports that f is the verbatim form of the workspace's
+	// kept problem (Workspace.KeepForm), so warm solves of it reload
+	// only the bounds.
+	keptValid bool
 
 	ncols    int       // f.n + f.m
 	tlo, tup []float64 // true bounds per column
@@ -135,8 +137,8 @@ type spState struct {
 
 	// Basis capture in the dense column layout (see buildCapture).
 	capCols                        []int
+	capUpper                       []int
 	capM, capNStruc, capN, capNArt int
-	capOK                          bool
 }
 
 func growI8(s []int8, k int) []int8 {
@@ -163,7 +165,14 @@ func (k *spState) retainedFloats() int {
 	return cap(k.f.val) + cap(k.f.obj) + cap(k.f.b) + cap(k.f.lo) + cap(k.f.up) +
 		cap(k.tlo) + cap(k.tup) + cap(k.wlo) + cap(k.wup) + cap(k.cost) +
 		cap(k.xB) + cap(k.etaPivVal) + cap(k.etaVal) + cap(k.alpha) + cap(k.y) +
-		cap(k.acc)
+		cap(k.acc) + k.ps.retainedFloats()
+}
+
+// retainedFloats is the presolver's share of retainedFloats (a Coef
+// weighs two float64s).
+func (ps *presolver) retainedFloats() int {
+	return cap(ps.obj) + cap(ps.fixVal) + cap(ps.lo) + cap(ps.up) + cap(ps.rhs) +
+		2*(cap(ps.rowBuf)+cap(ps.colBuf))
 }
 
 // logicalBounds is the bound interval encoding a row sense.
@@ -354,13 +363,13 @@ func (k *spState) refactorize() bool {
 			order = append(order, c)
 		}
 	}
-	sort.Slice(order, func(a, b int) bool {
-		na := f.colStart[order[a]+1] - f.colStart[order[a]]
-		nb := f.colStart[order[b]+1] - f.colStart[order[b]]
+	slices.SortFunc(order, func(a, b int) int {
+		na := f.colStart[a+1] - f.colStart[a]
+		nb := f.colStart[b+1] - f.colStart[b]
 		if na != nb {
-			return na < nb
+			return na - nb
 		}
-		return order[a] < order[b]
+		return a - b
 	})
 	place := func(c int, v []float64) bool {
 		best, bestAbs := -1, refacPivTol

@@ -2,6 +2,7 @@ package lp
 
 import (
 	"context"
+	"math"
 
 	"github.com/cloudsched/rasa/internal/solve"
 )
@@ -15,7 +16,6 @@ import (
 func (w *Workspace) solveSparse(ctx context.Context, p *Problem, opts Options, from *Basis, stats *solve.Stats) (Solution, bool) {
 	k := &w.sps
 	w.lastKernel = KernelSparse
-	k.capOK = false
 	k.pre = nil
 
 	if from != nil {
@@ -27,7 +27,8 @@ func (w *Workspace) solveSparse(ctx context.Context, p *Problem, opts Options, f
 		// Basis unusable for the sparse layout: cold sparse below.
 	}
 
-	ps := newPresolver(p)
+	ps := &k.ps
+	ps.reset(p, k)
 	switch ps.run() {
 	case psInfeasible:
 		return Solution{Status: Infeasible}, true
@@ -35,6 +36,7 @@ func (w *Workspace) solveSparse(ctx context.Context, p *Problem, opts Options, f
 		return Solution{Status: Unbounded}, true
 	}
 	k.pre = ps
+	k.keptValid = false // the reduced form replaces any kept verbatim one
 	ps.form(&k.f)
 	k.initArrays()
 	k.setColdBasis()
@@ -53,22 +55,41 @@ func (w *Workspace) solveSparse(ctx context.Context, p *Problem, opts Options, f
 func (w *Workspace) sparseWarm(ctx context.Context, p *Problem, opts Options, from *Basis, stats *solve.Stats) (sol Solution, final, ok bool) {
 	k := &w.sps
 	m := len(p.Rows)
-	if from.m > m || from.nStruc > p.NumVars || len(from.cols) != from.m {
+	if from.unusable || from.m > m || from.nStruc > p.NumVars || len(from.cols) != from.m {
 		return Solution{}, false, false
+	}
+	// Warm solves skip presolve: row/column indices must stay aligned
+	// with the caller's problem for the basis to mean anything. A kept
+	// problem's form and layout are built once; later solves of it
+	// reload only the bounds.
+	kept := p == w.kept
+	if kept && k.keptValid {
+		k.f.loadBounds(p)
+	} else {
+		formFromProblem(&k.f, p, k)
+		if k.keptValid = kept; kept {
+			prefixLayout(&w.keptLI, p.Rows, p.NumVars)
+		}
 	}
 	// The captured column indices are only meaningful if the shared
 	// row prefix still implies the layout they were captured under; a
 	// changed row sense shifts every later slack column (and an
 	// LE<->EQ change keeps n but swaps a slack for an artificial),
 	// which the n/nArt pair detects.
-	li := prefixLayout(p.Rows[:from.m], from.nStruc)
+	li := &w.keptLI
+	if !kept || from.m != m || from.nStruc != p.NumVars {
+		li = &w.li
+		prefixLayout(li, p.Rows[:from.m], from.nStruc)
+	}
 	if li.n != from.n || li.nArt != from.nArt {
 		return Solution{}, false, false
 	}
+	for j := 0; j < k.f.n; j++ {
+		if k.f.lo[j] > k.f.up[j]+feasEps {
+			return Solution{Status: Infeasible}, false, true // crossed bounds
+		}
+	}
 
-	// Warm solves skip presolve: row/column indices must stay aligned
-	// with the caller's problem for the basis to mean anything.
-	formFromProblem(&k.f, p, k)
 	k.initArrays()
 	seen := growB(k.bwork, k.ncols)
 	k.bwork = seen
@@ -103,6 +124,14 @@ func (w *Workspace) sparseWarm(ctx context.Context, p *Problem, opts Options, fr
 		k.vstat[c] = spBasic
 		k.slot[c] = i
 	}
+	// Nonbasic structurals return to the bound the capture left them
+	// at, so the start is the captured vertex, not its projection onto
+	// the lower bounds.
+	for _, j := range from.upper {
+		if j < k.f.n && k.vstat[j] != spBasic && !math.IsInf(k.f.up[j], 1) {
+			k.vstat[j] = spNBUpper
+		}
+	}
 	if !k.refactorize() {
 		return Solution{}, true, false
 	}
@@ -132,13 +161,20 @@ func (w *Workspace) sparseSolution(p *Problem, st Status, cause solve.StopCause,
 			sol.Objective += c * xr[j]
 		}
 	}
-	k.buildCapture(p)
+	w.buildCapture(p, sol.X)
 	return sol
 }
 
+// loadBounds copies p's variable bounds into the form.
+func (f *spForm) loadBounds(p *Problem) {
+	for j := 0; j < f.n; j++ {
+		f.lo[j], f.up[j] = p.bounds(j)
+	}
+}
+
 // formFromProblem builds the computational form for the verbatim
-// problem (warm solves): default bounds, duplicate coefficients
-// merged via the epoch-stamped accumulator.
+// problem (warm solves): p's bounds, duplicate coefficients merged via
+// the epoch-stamped accumulator.
 func formFromProblem(f *spForm, p *Problem, k *spState) {
 	m, n := len(p.Rows), p.NumVars
 	f.m, f.n = m, n
@@ -148,9 +184,7 @@ func formFromProblem(f *spForm, p *Problem, k *spState) {
 	f.up = growF(f.up, n)
 	f.b = growF(f.b, m)
 	f.sense = growS(f.sense, m)
-	for j := 0; j < n; j++ {
-		f.up[j] = inf
-	}
+	f.loadBounds(p)
 	for _, c := range p.Objective {
 		f.obj[c.Var] += c.Val
 	}
@@ -216,11 +250,19 @@ func formFromProblem(f *spForm, p *Problem, k *spState) {
 // slack/surplus/artificial column, and rows presolve removed
 // contribute either their slack or — when the row's derived bound is
 // active on a nonbasic variable — that variable, reproducing the
-// vertex the dense kernel would have ended on.
-func (k *spState) buildCapture(p *Problem) {
-	li := prefixLayout(p.Rows, p.NumVars)
+// vertex the dense kernel would have ended on. Nonbasic structurals at
+// a finite upper bound of p are listed in capUpper; x is the solution
+// point in p's indices.
+func (w *Workspace) buildCapture(p *Problem, x []float64) {
+	k := &w.sps
+	li := &w.keptLI
+	if p != w.kept || !k.keptValid {
+		li = &w.li
+		prefixLayout(li, p.Rows, p.NumVars)
+	}
 	m := len(p.Rows)
 	k.capCols = growI(k.capCols, m)[:0]
+	k.capUpper = k.capUpper[:0]
 	k.capM, k.capNStruc, k.capN, k.capNArt = m, p.NumVars, li.n, li.nArt
 	if k.pre == nil {
 		for i := 0; i < m; i++ {
@@ -230,7 +272,11 @@ func (k *spState) buildCapture(p *Problem) {
 			}
 			k.capCols = append(k.capCols, c)
 		}
-		k.capOK = true
+		for j := 0; j < k.f.n; j++ {
+			if k.vstat[j] == spNBUpper && !math.IsInf(k.tup[j], 1) {
+				k.capUpper = append(k.capUpper, j)
+			}
+		}
 		return
 	}
 	ps := k.pre
@@ -255,7 +301,20 @@ func (k *spState) buildCapture(p *Problem) {
 		}
 		k.capCols = append(k.capCols, col)
 	}
-	k.capOK = true
+	if p.Upper == nil {
+		return
+	}
+	// Structurals outside the basis that sit on p's own upper bound.
+	for _, c := range k.capCols {
+		if c < p.NumVars {
+			claimed[c] = true
+		}
+	}
+	for j := 0; j < p.NumVars; j++ {
+		if lo, up := p.bounds(j); !claimed[j] && up > lo && x[j] >= up-1e-9 {
+			k.capUpper = append(k.capUpper, j)
+		}
+	}
 }
 
 // claimsRow reports whether variable j should stand in as the basic

@@ -17,10 +17,10 @@ import (
 //
 // A Workspace additionally supports warm starts: CaptureBasis snapshots
 // the optimal basis of the last solve, and SolveFrom re-optimizes a
-// related problem from that basis — dual simplex when rows were added
-// (a branch-and-bound child tightening one bound), primal simplex when
-// columns were added (a column-generation master with new patterns) —
-// instead of running the full two-phase method from scratch.
+// related problem from that basis — after appended rows, tightened
+// variable bounds (a branch-and-bound child) or appended columns (a
+// column-generation master with new patterns) — instead of running the
+// full two-phase method from scratch.
 //
 // A Workspace is not safe for concurrent use. Acquire one per goroutine
 // (AcquireWorkspace / Release are backed by a sync.Pool, so parallel
@@ -39,6 +39,26 @@ type Workspace struct {
 	colRow     []int     // column -> owning row (-1 for structural columns)
 	target     []int     // scratch: warm-start target basis
 
+	// Bounded problems on the dense kernel: every finite bound becomes a
+	// row appended after the origM problem rows (see withBoundRows);
+	// bndVar/bndUp name the variable and side of each such row. Such
+	// solves always run cold, and their captures are unusable.
+	origM    int
+	bndVar   []int
+	bndUp    []bool
+	exp      Problem
+	expRows  []Constraint
+	expCoefs []Coef
+
+	// li is layout scratch for warm-start checks and captures.
+	li layoutInfo
+
+	// kept is the problem registered by KeepForm; keptChecked records
+	// that its rows passed validation, keptLI caches its layout.
+	kept        *Problem
+	keptChecked bool
+	keptLI      layoutInfo
+
 	// trackPhase1 gates phase-1 cost-row maintenance; warm starts never
 	// run phase 1 and skip the bookkeeping.
 	trackPhase1 bool
@@ -54,13 +74,24 @@ type Workspace struct {
 // warm-start handle passed back into SolveFrom. It records the column
 // layout dimensions at capture time so basis columns can be remapped
 // when the follow-up problem appends structural variables (CG master)
-// or rows (branch-and-bound children).
+// or rows, or changes variable bounds (branch-and-bound children).
+//
+// Columns are named in the dense layout of the problem's rows
+// (structurals, then per row its slack, surplus or artificial). A
+// nonbasic structural sits at its lower bound unless listed in upper,
+// so a warm start restores the captured vertex exactly. Only the
+// sparse kernel captures bounded problems; a dense capture of one
+// (its bounds written as rows) has no such form and is unusable.
 type Basis struct {
 	cols   []int // basic column of each row (order-insensitive: used as a set)
+	upper  []int // nonbasic structurals at their upper bound
 	m      int   // rows covered
 	nStruc int   // structural variables at capture
 	n      int   // total columns at capture
 	nArt   int   // artificial columns at capture (layout-drift guard)
+	// unusable marks a dense capture of a bounded problem; warm
+	// starts from it run cold.
+	unusable bool
 }
 
 // Rows reports how many constraint rows the basis covers.
@@ -85,7 +116,24 @@ func (w *Workspace) Release() {
 	if w.retainedFloats() > maxPooledFloats {
 		*w = Workspace{}
 	}
+	w.KeepForm(nil)
+	// Do not pin the caller's last problem in the pool.
+	w.sps.ps.p = nil
+	w.exp = Problem{}
+	clear(w.expRows[:cap(w.expRows)])
 	wsPool.Put(w)
+}
+
+// KeepForm registers p as the problem of the solves that follow, which
+// may change only p.Lower and p.Upper between calls (branch-and-bound
+// node relaxations). Warm sparse solves of p then build its
+// column-major form and column layout once and per solve only reload
+// the bounds and refactorize the warm basis. The caller must not
+// change p's rows, objective or variable count while it is kept;
+// KeepForm(nil) ends the registration.
+func (w *Workspace) KeepForm(p *Problem) {
+	w.kept, w.keptChecked = p, false
+	w.sps.keptValid = false
 }
 
 // retainedFloats is the float64 capacity the workspace would keep
@@ -109,11 +157,15 @@ func (w *Workspace) CaptureBasis(dst *Basis) *Basis {
 		// warm-start either kernel.
 		k := &w.sps
 		dst.cols = append(dst.cols[:0], k.capCols...)
+		dst.upper = append(dst.upper[:0], k.capUpper...)
 		dst.m, dst.nStruc, dst.n, dst.nArt = k.capM, k.capNStruc, k.capN, k.capNArt
+		dst.unusable = false
 		return dst
 	}
 	dst.cols = append(dst.cols[:0], w.basis[:w.m]...)
+	dst.upper = dst.upper[:0]
 	dst.m, dst.nStruc, dst.n = w.m, w.nStruc, w.n
+	dst.unusable = len(w.bndVar) > 0
 	dst.nArt = 0
 	for j := w.nStruc; j < w.n; j++ {
 		if w.artificial[j] {
@@ -179,8 +231,17 @@ func (w *Workspace) SolveFrom(ctx context.Context, p *Problem, opts Options, fro
 
 func (w *Workspace) solveImpl(ctx context.Context, p *Problem, opts Options, from *Basis) (Solution, error) {
 	start := time.Now()
-	if err := validate(p); err != nil {
-		return Solution{}, err
+	if p == w.kept && w.keptChecked {
+		// A kept problem's rows were validated on its first solve;
+		// only its bounds change between solves.
+		if err := validateBounds(p); err != nil {
+			return Solution{}, err
+		}
+	} else {
+		if err := validate(p); err != nil {
+			return Solution{}, err
+		}
+		w.keptChecked = p == w.kept
 	}
 	var stats solve.Stats
 	finish := func(sol Solution) (Solution, error) {
@@ -202,7 +263,10 @@ func (w *Workspace) solveImpl(ctx context.Context, p *Problem, opts Options, fro
 		// below makes no factorization assumptions and settles it.
 	}
 	w.lastKernel = KernelDense
-	if from != nil {
+	// A bounded problem's bound rows have no place in a captured basis,
+	// so the dense kernel solves it cold.
+	q := w.withBoundRows(p)
+	if from != nil && q == p {
 		if sol, ok := w.solveWarm(ctx, p, opts, from, &stats); ok {
 			return finish(sol)
 		}
@@ -211,7 +275,7 @@ func (w *Workspace) solveImpl(ctx context.Context, p *Problem, opts Options, fro
 	}
 
 	w.trackPhase1 = true
-	w.build(p)
+	w.build(q)
 	maxIter := opts.MaxIter
 	if maxIter <= 0 {
 		maxIter = 200 * (w.m + w.n + 10)
@@ -252,8 +316,47 @@ func (w *Workspace) extract(st Status) Solution {
 		}
 	}
 	sol.Objective = -w.phase2[w.n]
-	sol.Duals = w.duals()
+	sol.Duals = w.duals()[:w.origM] // bound rows carry no reported dual
 	return sol
+}
+
+// withBoundRows returns the problem the dense kernel solves for p: p
+// itself when every variable has the default bounds [0, +inf), else a
+// copy (in workspace scratch) with one row per finite bound appended
+// after p's rows in variable order — x_j >= lo_j for lo_j > 0, then
+// x_j <= up_j for finite up_j.
+func (w *Workspace) withBoundRows(p *Problem) *Problem {
+	w.origM = len(p.Rows)
+	w.bndVar, w.bndUp = w.bndVar[:0], w.bndUp[:0]
+	for j := 0; j < p.NumVars && (p.Lower != nil || p.Upper != nil); j++ {
+		lo, up := p.bounds(j)
+		if lo > 0 {
+			w.bndVar, w.bndUp = append(w.bndVar, j), append(w.bndUp, false)
+		}
+		if !math.IsInf(up, 1) {
+			w.bndVar, w.bndUp = append(w.bndVar, j), append(w.bndUp, true)
+		}
+	}
+	if len(w.bndVar) == 0 {
+		return p
+	}
+	if cap(w.expCoefs) < len(w.bndVar) {
+		w.expCoefs = make([]Coef, len(w.bndVar))
+	}
+	coefs := w.expCoefs[:len(w.bndVar)]
+	rows := append(w.expRows[:0], p.Rows...)
+	for k, j := range w.bndVar {
+		coefs[k] = Coef{Var: j, Val: 1}
+		lo, up := p.bounds(j)
+		r := Constraint{Coefs: coefs[k : k+1 : k+1], Sense: GE, RHS: lo}
+		if w.bndUp[k] {
+			r.Sense, r.RHS = LE, up
+		}
+		rows = append(rows, r)
+	}
+	w.expRows = rows
+	w.exp = Problem{NumVars: p.NumVars, Objective: p.Objective, Rows: rows}
+	return &w.exp
 }
 
 // build constructs the initial tableau. Columns are laid out
@@ -363,12 +466,13 @@ func normSense(r Constraint) Sense {
 	return s
 }
 
-// solveWarm attempts the warm-started solve. ok=false means the basis
-// was unusable and the caller must run the cold path; ok=true means the
-// returned Solution is final (any Status).
+// solveWarm attempts the warm-started solve of p, a problem without
+// bounds. ok=false means the basis was unusable and the caller must
+// run the cold path; ok=true means the returned Solution is final (any
+// Status).
 func (w *Workspace) solveWarm(ctx context.Context, p *Problem, opts Options, from *Basis, stats *solve.Stats) (Solution, bool) {
 	m := len(p.Rows)
-	if from == nil || from.m > m || from.nStruc > p.NumVars || len(from.cols) != from.m {
+	if from == nil || from.unusable || len(from.upper) > 0 || from.m > m || from.nStruc > p.NumVars || len(from.cols) != from.m {
 		return Solution{}, false
 	}
 	// The captured column indices are positional: they are only
@@ -379,7 +483,8 @@ func (w *Workspace) solveWarm(ctx context.Context, p *Problem, opts Options, fro
 	// a drifted basis would canonicalize into the wrong columns and
 	// silently optimize a different vertex set. The (n, nArt) pair of
 	// the prefix layout detects both drifts.
-	if li := prefixLayout(p.Rows[:from.m], from.nStruc); li.n != from.n || li.nArt != from.nArt {
+	prefixLayout(&w.li, p.Rows[:from.m], from.nStruc)
+	if w.li.n != from.n || w.li.nArt != from.nArt {
 		return Solution{}, false
 	}
 	w.trackPhase1 = false

@@ -13,11 +13,24 @@
 //
 // Branching supports most-fractional and pseudocost rules (the latter is
 // the default; the choice is an ablation target, see DESIGN.md).
+//
+// Branching changes bounds, not rows: a node stores one bound change
+// (variable, side, value), and its LP relaxation is the root problem
+// under the root bounds tightened by the node's chain of changes. Every
+// node LP of a solve is the same lp.Problem value with rewritten
+// Lower/Upper slices, registered with the LP workspace through
+// KeepForm, so the sparse kernel builds the column-major matrix once
+// per solve and per node only reloads the bounds and refactorizes the
+// parent's basis. Node LPs therefore run on the sparse kernel (which
+// takes bounds natively) whatever their size; only its numerical
+// breakdown falls back to the dense tableau, which writes the bounds as
+// rows and solves cold.
 package mip
 
 import (
 	"container/heap"
 	"context"
+	"fmt"
 	"math"
 	"time"
 
@@ -113,12 +126,6 @@ type Options struct {
 	// to a cold solve when it is stale or mismatched, so a wrong guess
 	// costs nothing but the check. Ignored under DisableWarmStart.
 	RootBasis *lp.Basis
-	// LPKernel selects the simplex engine for node LPs (lp.KernelAuto
-	// by default: size-routed, sparse revised simplex on large
-	// relaxations with a dense-tableau fallback). lp.KernelDense /
-	// lp.KernelSparse force one — the ablation knob behind
-	// experiments.SparseBench.
-	LPKernel lp.Kernel
 }
 
 // Solution is the result of a solve.
@@ -140,37 +147,27 @@ type Solution struct {
 
 const intEps = 1e-6
 
-// node is a branch-and-bound node: a persistent chain of bound rows
-// added on top of the root LP.
+// node is a branch-and-bound node: one bound change on top of its
+// parent's, forming a persistent chain back to the root.
 type node struct {
 	parent *node
-	branch lp.Constraint // the bound added at this node (unused at root)
-	depth  int
 	bound  float64 // LP relaxation objective (upper bound for subtree)
 
-	// Pseudocost bookkeeping: which variable/direction created this node
-	// and the parent's LP bound and fractional part at branching time.
+	// The bound change that created this node (pcVar < 0 at the root):
+	// the up branch raises pcVar's lower bound to val, the down branch
+	// caps its upper bound at val. pcFrac and pcParentBound are the
+	// fractional part and the parent's LP bound at branching time, for
+	// the pseudocost bookkeeping.
 	pcVar         int
-	pcFrac        float64
 	pcUp          bool
+	val           float64
+	pcFrac        float64
 	pcParentBound float64
 
 	// basis is the optimal LP basis of this node, captured when its
 	// relaxation solves to optimality; children warm-start from it (their
-	// problem is this node's problem plus one appended bound row).
+	// problem is this node's problem with one bound tightened).
 	basis *lp.Basis
-}
-
-func (n *node) rows() []lp.Constraint {
-	var chain []lp.Constraint
-	for cur := n; cur != nil && cur.parent != nil; cur = cur.parent {
-		chain = append(chain, cur.branch)
-	}
-	// Reverse for readability/determinism (oldest first).
-	for i, j := 0, len(chain)-1; i < j; i, j = i+1, j-1 {
-		chain[i], chain[j] = chain[j], chain[i]
-	}
-	return chain
 }
 
 // nodeHeap is a max-heap on LP bound (best-bound-first search).
@@ -193,9 +190,15 @@ type solver struct {
 	prob *Problem
 	opts Options
 	// ws is the pooled LP workspace shared by every node LP of this
-	// solve: tableau storage is allocated once and reused, and node
-	// solves warm-start in it from their parent's captured basis.
+	// solve: storage is allocated once and reused, and node solves
+	// warm-start in it from their parent's captured basis.
 	ws *lp.Workspace
+	// nodeLP is the LP every node solves: the root rows and objective
+	// under the bounds lo/up, rewritten per node from rootLo/rootUp and
+	// the node's chain of bound changes. It is kept in ws (KeepForm).
+	nodeLP         lp.Problem
+	lo, up         []float64
+	rootLo, rootUp []float64
 	// pseudocost state: sums of per-unit objective degradation and
 	// observation counts, for down and up branches.
 	pcDownSum, pcUpSum []float64
@@ -233,17 +236,36 @@ func Solve(ctx context.Context, p *Problem, opts Options) (Solution, error) {
 	if opts.RoundEvery == 0 {
 		opts.RoundEvery = 8
 	}
+	n := p.LP.NumVars
+	if (p.LP.Lower != nil && len(p.LP.Lower) != n) || (p.LP.Upper != nil && len(p.LP.Upper) != n) {
+		return Solution{}, fmt.Errorf("%w: bound vectors must have one entry per variable", lp.ErrBadProblem)
+	}
 	s := &solver{
 		ctx:          ctx,
 		prob:         p,
 		opts:         opts,
 		ws:           lp.AcquireWorkspace(),
-		pcDownSum:    make([]float64, p.LP.NumVars),
-		pcUpSum:      make([]float64, p.LP.NumVars),
-		pcDownN:      make([]int, p.LP.NumVars),
-		pcUpN:        make([]int, p.LP.NumVars),
+		lo:           make([]float64, n),
+		up:           make([]float64, n),
+		rootLo:       make([]float64, n),
+		rootUp:       make([]float64, n),
+		pcDownSum:    make([]float64, n),
+		pcUpSum:      make([]float64, n),
+		pcDownN:      make([]int, n),
+		pcUpN:        make([]int, n),
 		incumbentObj: math.Inf(-1),
 	}
+	for j := 0; j < n; j++ {
+		s.rootUp[j] = math.Inf(1)
+	}
+	if p.LP.Lower != nil {
+		copy(s.rootLo, p.LP.Lower)
+	}
+	if p.LP.Upper != nil {
+		copy(s.rootUp, p.LP.Upper)
+	}
+	s.nodeLP = lp.Problem{NumVars: n, Objective: p.LP.Objective, Rows: p.LP.Rows, Lower: s.lo, Upper: s.up}
+	s.ws.KeepForm(&s.nodeLP)
 	start := time.Now()
 	sol, err := s.run()
 	s.ws.Release()
@@ -251,22 +273,24 @@ func Solve(ctx context.Context, p *Problem, opts Options) (Solution, error) {
 	return sol, err
 }
 
-// solveLP solves the root LP plus the node's branch rows, warm-started
-// from the parent's captured basis when available (the node's problem
-// extends the parent's by exactly one appended bound row, which is the
-// dual-simplex sweet spot). On an optimal solve the node's own basis is
-// captured for its future children before the shared workspace moves on
-// to the next node.
+// solveLP solves the node's relaxation — the root LP under the node's
+// bounds — warm-started from the parent's captured basis when available
+// (the node's problem differs from the parent's by one tightened bound,
+// so the parent's vertex is a few pivots from the child's). On an
+// optimal solve the node's own basis is captured for its future
+// children before the shared workspace moves on to the next node.
 func (s *solver) solveLP(n *node) (lp.Solution, error) {
-	extra := n.rows()
-	prob := lp.Problem{
-		NumVars:   s.prob.LP.NumVars,
-		Objective: s.prob.LP.Objective,
-		Rows:      make([]lp.Constraint, 0, len(s.prob.LP.Rows)+len(extra)),
+	copy(s.lo, s.rootLo)
+	copy(s.up, s.rootUp)
+	for cur := n; cur.parent != nil; cur = cur.parent {
+		j := cur.pcVar
+		if cur.pcUp {
+			s.lo[j] = math.Max(s.lo[j], cur.val)
+		} else {
+			s.up[j] = math.Min(s.up[j], cur.val)
+		}
 	}
-	prob.Rows = append(prob.Rows, s.prob.LP.Rows...)
-	prob.Rows = append(prob.Rows, extra...)
-	opts := lp.Options{Deadline: s.opts.Deadline, Kernel: s.opts.LPKernel}
+	opts := lp.Options{Deadline: s.opts.Deadline, Kernel: lp.KernelSparse}
 	var from *lp.Basis
 	if !s.opts.DisableWarmStart {
 		if n.parent != nil {
@@ -275,7 +299,7 @@ func (s *solver) solveLP(n *node) (lp.Solution, error) {
 			from = s.opts.RootBasis // cross-solve seed for the root relaxation
 		}
 	}
-	sol, err := s.ws.SolveFrom(s.ctx, &prob, opts, from)
+	sol, err := s.ws.SolveFrom(s.ctx, &s.nodeLP, opts, from)
 	if err == nil && sol.Status == lp.Optimal {
 		n.basis = s.ws.CaptureBasis(nil)
 		if n.parent == nil {
@@ -306,12 +330,12 @@ func (s *solver) objective(x []float64) float64 {
 	return obj
 }
 
-// feasible checks all original rows and non-negativity for a candidate
-// incumbent produced by a rounder.
+// feasible checks all original rows and the root bounds for a
+// candidate incumbent produced by a rounder.
 func (s *solver) feasible(x []float64) bool {
 	const tol = 1e-6
 	for j := range x {
-		if x[j] < -tol {
+		if x[j] < s.rootLo[j]-tol || x[j] > s.rootUp[j]+tol {
 			return false
 		}
 	}
@@ -560,22 +584,21 @@ func (s *solver) processLP(n *node, sol lp.Solution, open *nodeHeap) {
 		s.tryIncumbent(sol.X, sol.Objective)
 		return
 	}
-	frac := sol.X[j] - math.Floor(sol.X[j])
 	floorV := math.Floor(sol.X[j])
-	down := &node{
-		parent: n,
-		depth:  n.depth + 1,
-		branch: lp.Constraint{Coefs: []lp.Coef{{Var: j, Val: 1}}, Sense: lp.LE, RHS: floorV},
-		bound:  sol.Objective, // parent bound until solved
+	frac := sol.X[j] - floorV
+	for _, isUp := range []bool{false, true} {
+		c := &node{
+			parent:        n,
+			bound:         sol.Objective, // parent bound until solved
+			pcVar:         j,
+			pcUp:          isUp,
+			val:           floorV,
+			pcFrac:        frac,
+			pcParentBound: sol.Objective,
+		}
+		if isUp {
+			c.val = floorV + 1
+		}
+		heap.Push(open, c)
 	}
-	up := &node{
-		parent: n,
-		depth:  n.depth + 1,
-		branch: lp.Constraint{Coefs: []lp.Coef{{Var: j, Val: 1}}, Sense: lp.GE, RHS: floorV + 1},
-		bound:  sol.Objective,
-	}
-	down.pcVar, down.pcFrac, down.pcUp, down.pcParentBound = j, frac, false, sol.Objective
-	up.pcVar, up.pcFrac, up.pcUp, up.pcParentBound = j, frac, true, sol.Objective
-	heap.Push(open, down)
-	heap.Push(open, up)
 }

@@ -60,6 +60,28 @@ func (c StopCause) String() string {
 	return "unknown"
 }
 
+// severity orders stop causes for Worst: the further a solve fell
+// short of a proven optimum, the more severe its cause.
+var severity = [...]int{None: 0, Optimal: 1, NodeLimit: 2, Deadline: 3, Cancelled: 4}
+
+// Worst returns the more severe of two stop causes (Cancelled >
+// Deadline > NodeLimit > Optimal > None), the rollup an aggregating
+// layer reports when it summarizes several solves: a pass is optimal
+// only if none of its parts was cut short.
+func Worst(a, b StopCause) StopCause {
+	if rank(b) > rank(a) {
+		return b
+	}
+	return a
+}
+
+func rank(c StopCause) int {
+	if c < 0 || int(c) >= len(severity) {
+		return 0
+	}
+	return severity[c]
+}
+
 // Stats aggregates solver effort. Each layer fills the fields it owns
 // and merges in the stats of the sub-solves it dispatched; zero-valued
 // fields simply mean "not applicable at this layer".
